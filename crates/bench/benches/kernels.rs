@@ -95,15 +95,18 @@ fn bench_symgs_and_spmm(c: &mut Criterion) {
     let b = start_vector(n);
     let mut x = vec![0.0; n];
     group.bench_function("symgs_sweep", |bch| bch.iter(|| plan.symgs_sweep(&b, &mut x)));
-    // SpMM with m = 4 vs 4 sequential SpMVs: matrix-read amortization.
-    let cols: Vec<Vec<f64>> = (0..4).map(|_| start_vector(n)).collect();
-    let xm = MultiVec::from_columns(&cols);
-    let mut ym = MultiVec::zeros(n, 4);
-    group.bench_function("spmm_m4", |bch| bch.iter(|| spmm(&a, &xm, &mut ym)));
+    // SpMM at m = 1, 2 (remainder chunks only), 4 (one full chunk) and 8
+    // (two) vs 4 sequential SpMVs: matrix-read amortization.
+    let cols: Vec<Vec<f64>> = (0..8).map(|_| start_vector(n)).collect();
+    for m in [1, 2, 4, 8] {
+        let xm = MultiVec::from_columns(&cols[..m]);
+        let mut ym = MultiVec::zeros(n, m);
+        group.bench_function(format!("spmm_m{m}"), |bch| bch.iter(|| spmm(&a, &xm, &mut ym)));
+    }
     let mut y = vec![0.0; n];
     group.bench_function("spmv_x4", |bch| {
         bch.iter(|| {
-            for col in &cols {
+            for col in &cols[..4] {
                 spmv(&a, col, &mut y);
             }
         })

@@ -222,12 +222,13 @@ impl PowerBatcher {
             };
             rounds += 1;
             let width = batch.len();
-            let cols: Vec<Vec<f64>> = batch.iter().map(|p| p.x.clone()).collect();
+            let (cols, txs): (Vec<Vec<f64>>, Vec<_>) =
+                batch.into_iter().map(|p| (p.x, p.tx)).unzip();
             let y = block_power(a, &MultiVec::from_columns(&cols), k);
             on_execute(width);
-            for (v, p) in batch.into_iter().enumerate() {
+            for (v, tx) in txs.into_iter().enumerate() {
                 // A follower that gave up (disconnected) is fine.
-                let _ = p.tx.send(Msg::Done(PowerOutcome { y: y.column(v), width }));
+                let _ = tx.send(Msg::Done(PowerOutcome { y: y.column(v), width }));
             }
         }
         guard.armed = false;

@@ -8,6 +8,19 @@
 //! across *right-hand sides*. Vectors are stored row-major
 //! (`x[c * m + v]`), the block analog of the paper's back-to-back layout:
 //! all `m` operands gathered per column share cache lines.
+//!
+//! # Accumulation order
+//!
+//! Every column of the result is summed exactly as [`crate::spmv::spmv`]
+//! sums it: the accumulator starts at `0.0` and adds `A[r, j] * x[j]` in
+//! CSR order, one rounded multiply and one rounded add per nonzero, with
+//! no FMA and no reassociation. The kernel walks the block in chunks of
+//! up to four columns held in a fixed-size register accumulator and
+//! may vectorize *across* the columns of a chunk, never *within* one
+//! column's sum. Column `v` of `spmm` is therefore bit-identical to
+//! `spmv` on that column alone, whatever the block width and however it
+//! is chunked — which is why a batched server response equals the one the
+//! same request gets on its own.
 
 use crate::Csr;
 
@@ -74,7 +87,12 @@ impl MultiVec {
     }
 }
 
-/// Computes `Y = A X` for a block of interleaved vectors.
+/// Widest column chunk the kernel accumulates in registers; wider blocks
+/// are walked as several chunks per row plus a 1–3 column remainder.
+const CHUNK: usize = 4;
+
+/// Computes `Y = A X` for a block of interleaved vectors (see the module
+/// docs for the per-column accumulation order it keeps).
 ///
 /// # Panics
 /// Panics on dimension mismatches.
@@ -83,23 +101,43 @@ pub fn spmm(a: &Csr, x: &MultiVec, y: &mut MultiVec) {
     assert_eq!(y.n, a.nrows(), "Y row count must equal nrows");
     assert_eq!(x.m, y.m, "operand blocks differ in width");
     let m = x.m;
-    let row_ptr = a.row_ptr();
-    let col_idx = a.col_idx();
-    let values = a.values();
-    // Small fixed-size accumulator for common block widths keeps the inner
-    // loop register-resident.
-    let mut acc = vec![0.0f64; m];
-    for r in 0..a.nrows() {
-        acc.fill(0.0);
-        for j in row_ptr[r]..row_ptr[r + 1] {
-            let v = values[j];
-            let base = col_idx[j] as usize * m;
-            for (w, a) in acc.iter_mut().enumerate() {
-                *a += v * x.data[base + w];
-            }
+    let full = m - m % CHUNK;
+    let (col_idx, values) = (a.col_idx(), a.values());
+    for (span, out) in a.row_ptr().windows(2).zip(y.data.chunks_exact_mut(m)) {
+        let cols = &col_idx[span[0]..span[1]];
+        let vals = &values[span[0]..span[1]];
+        for c in (0..full).step_by(CHUNK) {
+            row_chunk::<CHUNK>(cols, vals, &x.data, m, c, &mut out[c..]);
         }
-        y.data[r * m..(r + 1) * m].copy_from_slice(&acc);
+        match m - full {
+            0 => {}
+            1 => row_chunk::<1>(cols, vals, &x.data, m, full, &mut out[full..]),
+            2 => row_chunk::<2>(cols, vals, &x.data, m, full, &mut out[full..]),
+            _ => row_chunk::<3>(cols, vals, &x.data, m, full, &mut out[full..]),
+        }
     }
+}
+
+/// One row of `Y = A X` restricted to columns `c..c + W`: each lane of the
+/// `[f64; W]` accumulator sums its own column in CSR order.
+#[inline(always)]
+fn row_chunk<const W: usize>(
+    cols: &[u32],
+    vals: &[f64],
+    x: &[f64],
+    m: usize,
+    c: usize,
+    out: &mut [f64],
+) {
+    let mut acc = [0.0f64; W];
+    for (&col, &v) in cols.iter().zip(vals) {
+        let base = col as usize * m + c;
+        let xs: &[f64; W] = x[base..base + W].try_into().expect("chunk of width W");
+        for (a, &xv) in acc.iter_mut().zip(xs) {
+            *a += v * xv;
+        }
+    }
+    out[..W].copy_from_slice(&acc);
 }
 
 /// Computes the block power `Aᵏ X` by repeated SpMM (each step reads `A`
