@@ -50,7 +50,7 @@ use fbmpk_bench::perfreport;
 use fbmpk_bench::report::{format_table, write_csv, write_json, Json};
 use fbmpk_bench::runner::{self, MatrixCase};
 use fbmpk_bench::{platform, roofline, BenchConfig};
-use fbmpk_obs::MetricValue;
+use fbmpk_obs::Histogram;
 use std::path::PathBuf;
 
 struct Args {
@@ -226,30 +226,26 @@ fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// JSON form of one registry metric for `BENCH_profile.json`.
-fn metric_json(m: &MetricValue) -> Json {
-    match m {
-        MetricValue::Counter(v) => Json::from(*v as usize),
-        MetricValue::Gauge(v) => Json::from(*v),
-        MetricValue::Histogram(h) => Json::obj([
-            ("count", Json::from(h.count() as usize)),
-            ("sum", Json::from(h.sum() as usize)),
-            ("min", Json::from(h.min() as usize)),
-            ("max", Json::from(h.max() as usize)),
-            ("mean", Json::from(h.mean())),
-            (
-                "buckets",
-                Json::Arr(
-                    h.nonzero_buckets()
-                        .into_iter()
-                        .map(|(upper, n)| {
-                            Json::Arr(vec![Json::from(upper as usize), Json::from(n as usize)])
-                        })
-                        .collect(),
-                ),
+/// JSON form of a histogram for `BENCH_profile.json`.
+fn histogram_json(h: &Histogram) -> Json {
+    Json::obj([
+        ("count", Json::from(h.count() as usize)),
+        ("sum", Json::from(h.sum() as usize)),
+        ("min", Json::from(h.min() as usize)),
+        ("max", Json::from(h.max() as usize)),
+        ("mean", Json::from(h.mean())),
+        (
+            "buckets",
+            Json::Arr(
+                h.nonzero_buckets()
+                    .into_iter()
+                    .map(|(upper, n)| {
+                        Json::Arr(vec![Json::from(upper as usize), Json::from(n as usize)])
+                    })
+                    .collect(),
             ),
-        ]),
-    }
+        ),
+    ])
 }
 
 /// Loads the run database, warning (never failing) on skipped lines.
@@ -1341,7 +1337,7 @@ fn main() {
     if want("profile") {
         eprintln!("profile: in-kernel spans, bandwidth, hardware counters ...");
         let roofline_gbs = perf_ctx.as_ref().and_then(|c| c.bw.map(|b| b.triad_gbs));
-        let (rows, trace, registry) = runner::profile(&args.cfg, &cases, roofline_gbs);
+        let (rows, trace) = runner::profile(&args.cfg, &cases, roofline_gbs);
         assert!(
             rows.iter().all(|r| r.identical),
             "a recording plan produced a result differing from its non-recording twin"
@@ -1447,9 +1443,22 @@ fn main() {
             &csv_rows,
         )
         .expect("write profile.csv");
-        let metrics = Json::Obj(
-            registry.snapshot().iter().map(|(k, m)| (k.clone(), metric_json(m))).collect(),
-        );
+        // Run-wide values with no per-matrix column.
+        let mut wait_span_ns = Histogram::new();
+        for r in &rows {
+            wait_span_ns.merge(&r.wait_span_ns);
+        }
+        let metrics = Json::obj([
+            (
+                "profile.spans_recorded",
+                Json::from(rows.iter().map(|r| r.spans_recorded).sum::<u64>() as usize),
+            ),
+            (
+                "profile.watchdog_arms",
+                Json::from(rows.iter().map(|r| r.watchdog_arms).sum::<u64>() as usize),
+            ),
+            ("profile.wait_span_ns", histogram_json(&wait_span_ns)),
+        ]);
         let json = Json::obj([
             ("experiment", Json::from("profile")),
             ("scale", Json::from(args.cfg.scale)),

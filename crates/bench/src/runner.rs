@@ -16,8 +16,8 @@ use fbmpk_memsim::{
     FbmpkTraceAttribution, TracedLayout,
 };
 use fbmpk_obs::{
-    AttributionReport, BlockLedger, CellLedger, HwAttributionProbe, HwSample, HwSession,
-    MeasuredLedger, Registry, Span, SpanKind, TraceBuilder,
+    AttributionReport, BlockLedger, CellLedger, Histogram, HwAttributionProbe, HwSample, HwSession,
+    MeasuredLedger, Span, SpanKind, TraceBuilder,
 };
 use fbmpk_reorder::{
     balance_ratio, cut_edges, multilevel_blocks, Abmc, AbmcParams, BlockingStrategy, Graph,
@@ -1081,23 +1081,28 @@ pub struct ProfileRow {
     /// Deterministic fault-injection sites hit during this row (always 0
     /// without the `fault-inject` feature).
     pub fault_injection_hits: u64,
+    /// Spans the two recorded runs added to the trace.
+    pub spans_recorded: u64,
+    /// Stall-watchdog arms during this row's measurements.
+    pub watchdog_arms: u64,
+    /// Durations of the recorded barrier-mode run's wait spans, in ns.
+    pub wait_span_ns: Histogram,
 }
 
 /// Runs the profiling experiment: times both sync modes without
 /// observability, then re-runs each once with the span recorder enabled to
 /// extract per-thread wait fractions, a chrome://tracing timeline (two
 /// trace processes per matrix, one per sync mode), hardware counters where
-/// available, and registry metrics. Returns the rows plus the accumulated
-/// trace and metrics.
+/// available, and the wait-span distribution. Returns the rows plus the
+/// accumulated trace.
 pub fn profile(
     cfg: &BenchConfig,
     cases: &[MatrixCase],
     roofline_gbs: Option<f64>,
-) -> (Vec<ProfileRow>, TraceBuilder, Registry) {
+) -> (Vec<ProfileRow>, TraceBuilder) {
     let k = 5;
     let mut rows = Vec::new();
     let mut trace = TraceBuilder::new();
-    let registry = Registry::new();
     // Plan-construction phase spans (inspection, partitioning, leveling)
     // land in the chrome://tracing timeline next to the kernel spans.
     fbmpk_obs::phases::set_recording(true);
@@ -1161,18 +1166,6 @@ pub fn profile(
         let fault_injection_hits = fbmpk_parallel::fault::injection_hits() - inject0;
         let fallbacks = barrier.fallbacks() + p2p.fallbacks() + rb.fallbacks() + rp.fallbacks();
 
-        registry.counter_add("profile.matrices", 1);
-        registry.counter_add("profile.modeled_matrix_bytes", modeled);
-        registry.counter_add("profile.sim_dram_bytes", sim);
-        registry.counter_add("profile.spans_recorded", spans as u64);
-        registry.counter_add("profile.spans_dropped", dropped_spans);
-        registry.counter_add("profile.fallbacks", fallbacks);
-        registry.counter_add("profile.watchdog_arms", arms1 - arms0);
-        registry.counter_add("profile.watchdog_fires", watchdog_fires);
-        registry.counter_add("profile.fault_injection_hits", fault_injection_hits);
-        registry.gauge_set(&format!("profile.{}.bw_barrier_gbs", c.entry.name), {
-            modeled as f64 / t_barrier / 1e9
-        });
         if live {
             // Feed the `repro top` dashboard: the current matrix's
             // effective bandwidth against the measured triad ceiling.
@@ -1193,10 +1186,11 @@ pub fn profile(
                 .set(0, achieved / ceiling);
             }
         }
+        let mut wait_span_ns = Histogram::new();
         for t in 0..rec_b.nthreads() {
             for s in rec_b.thread_spans(t) {
                 if s.kind.is_wait() {
-                    registry.observe("profile.wait_span_ns", s.duration_ns());
+                    wait_span_ns.observe(s.duration_ns());
                 }
             }
         }
@@ -1227,13 +1221,16 @@ pub fn profile(
             fallbacks,
             watchdog_fires,
             fault_injection_hits,
+            spans_recorded: spans as u64,
+            watchdog_arms: arms1 - arms0,
+            wait_span_ns,
         });
     }
     let phase_pid = (2 * cases.len() + 1) as u32;
     trace.add_process(phase_pid, "plan phases");
     fbmpk_obs::phases::add_to_trace(&mut trace, phase_pid);
     fbmpk_obs::phases::set_recording(false);
-    (rows, trace, registry)
+    (rows, trace)
 }
 
 // ----------------------------------------------------------- attribution
@@ -1676,7 +1673,7 @@ mod tests {
         let tr = tune(&cfg, &cases);
         assert_eq!(tr.len(), 3);
         assert!(tr.iter().all(|r| r.t_scalar > 0.0 && r.t_tuned > 0.0 && !r.variant.is_empty()));
-        let (pr, trace, registry) = profile(&cfg, &cases[..1], Some(10.0));
+        let (pr, trace) = profile(&cfg, &cases[..1], Some(10.0));
         assert_eq!(pr.len(), 1);
         let p = &pr[0];
         assert!(p.identical, "recording changed the numerics");
@@ -1690,7 +1687,7 @@ mod tests {
         assert!((0.0..=1.0).contains(&p.wait_frac_p2p), "{}", p.wait_frac_p2p);
         assert_eq!(p.dropped_spans, 0);
         assert!(!trace.is_empty());
-        assert!(registry.snapshot().iter().any(|(k, _)| k == "profile.spans_recorded"));
+        assert!(p.spans_recorded > 0);
     }
 
     #[test]

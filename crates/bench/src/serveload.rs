@@ -15,6 +15,7 @@
 //! must stay zero, because the server promises a typed answer for every
 //! accepted connection.
 
+use fbmpk_obs::http;
 use fbmpk_serve::client;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -149,7 +150,7 @@ pub fn measure_capacity(
     let timeout = Duration::from_secs(10);
     let headers = [("X-Tenant", "capacity-probe")];
     // Warm the plan cache (and the tenant quota path) off the clock.
-    let warm = client::request(addr, "POST", "/v1/power", &headers, &body, timeout)
+    let warm = http::request(addr, "POST", "/v1/power", &headers, &body, timeout)
         .map_err(|e| format!("capacity probe: transport error: {e}"))?;
     if warm.status != 200 {
         return Err(format!("capacity probe: warmup answered {}", warm.status));
@@ -157,7 +158,7 @@ pub fn measure_capacity(
     let start = Instant::now();
     let mut n = 0usize;
     while start.elapsed() < window || n == 0 {
-        let r = client::request(addr, "POST", "/v1/power", &headers, &body, timeout)
+        let r = http::request(addr, "POST", "/v1/power", &headers, &body, timeout)
             .map_err(|e| format!("capacity probe: transport error: {e}"))?;
         if r.status != 200 {
             return Err(format!("capacity probe: answered {}", r.status));
@@ -230,7 +231,7 @@ fn scenario(i: usize, cfg: &LoadConfig) -> Scenario {
     }
 }
 
-fn classify(resp: &client::ClientResponse) -> Outcome {
+fn classify(resp: &http::ClientResponse) -> Outcome {
     match resp.status {
         200 => Outcome::Ok,
         429 => Outcome::Shed,
@@ -252,11 +253,11 @@ fn fire(cfg: &LoadConfig, sc: &Scenario) -> Sample {
         headers.push(("X-Deadline-Ms", d));
     }
     let start = Instant::now();
-    let first = client::request(cfg.addr, "POST", sc.path, &headers, &body, cfg.timeout);
+    let first = http::request(cfg.addr, "POST", sc.path, &headers, &body, cfg.timeout);
     let (resp, retried) = match first {
         Ok(r) if r.status == 429 && sc.deadline_ms.is_none() => {
             std::thread::sleep(Duration::from_millis(25));
-            (client::request(cfg.addr, "POST", sc.path, &headers, &body, cfg.timeout), true)
+            (http::request(cfg.addr, "POST", sc.path, &headers, &body, cfg.timeout), true)
         }
         other => (other, false),
     };

@@ -10,7 +10,7 @@
 //! * per-plan sweep throughput (invocations/s from counter deltas),
 //! * overall and per-thread wait fractions as bars,
 //! * watchdog arms/fires, barrier fallbacks, fault-injection hits,
-//! * tune-cache hit rate and the top plan phases by accumulated time,
+//! * the top plan phases by accumulated time,
 //! * the traffic-attribution drill-down: worst blocks of the matrix
 //!   under `repro attribution`, three byte ledgers side by side.
 //!
@@ -169,17 +169,6 @@ pub fn render_frame(
          fallbacks {fallbacks:.0}   injected {inject:.0}"
     );
 
-    // Tune cache.
-    let hits = unlabeled(p, "fbmpk_tune_cache_hits_total").unwrap_or(0.0);
-    let misses = unlabeled(p, "fbmpk_tune_cache_misses_total").unwrap_or(0.0);
-    if hits + misses > 0.0 {
-        let _ = writeln!(
-            out,
-            "tune cache {hits:.0} hits / {misses:.0} misses ({:.0}% hit rate)",
-            100.0 * hits / (hits + misses)
-        );
-    }
-
     // Top phases by accumulated wall time.
     let mut phases: Vec<(String, f64, f64)> = p
         .samples_of("fbmpk_phase_seconds_total")
@@ -250,7 +239,7 @@ pub fn render_frame(
 /// section has data. Returns the bound address. The workload thread is
 /// detached and dies with the process.
 fn start_demo() -> Result<std::net::SocketAddr, String> {
-    fbmpk_obs::live::set_enabled(true);
+    // Starting the endpoint turns the live gate on.
     let server = fbmpk_obs::MetricsServer::start(
         "127.0.0.1:0".parse().expect("literal addr"),
         fbmpk_obs::live::global(),
@@ -353,12 +342,6 @@ fbmpk_thread_wait_fraction{plan=\"1\",thread=\"1\"} 0.1\n\
 # HELP fbmpk_watchdog_fires_total h\n\
 # TYPE fbmpk_watchdog_fires_total counter\n\
 fbmpk_watchdog_fires_total 2\n\
-# HELP fbmpk_tune_cache_hits_total h\n\
-# TYPE fbmpk_tune_cache_hits_total counter\n\
-fbmpk_tune_cache_hits_total 3\n\
-# HELP fbmpk_tune_cache_misses_total h\n\
-# TYPE fbmpk_tune_cache_misses_total counter\n\
-fbmpk_tune_cache_misses_total 1\n\
 # HELP fbmpk_phase_seconds_total h\n\
 # TYPE fbmpk_phase_seconds_total counter\n\
 fbmpk_phase_seconds_total{phase=\"tune.inspect\"} 0.25\n\
@@ -379,7 +362,6 @@ fbmpk_block_bytes_total{matrix=\"rmat\",block=\"7\",phase=\"forward\",ledger=\"s
         assert!(frame.contains("plan 1"), "{frame}");
         assert!(frame.contains("t0"), "{frame}");
         assert!(frame.contains("2 fired"), "{frame}");
-        assert!(frame.contains("75% hit rate"), "{frame}");
         assert!(frame.contains("tune.inspect"), "{frame}");
         // Attribution drill-down: block 3's measured/modeled ratio (3.00x)
         // ranks it above block 7 (sim-only, 1.00x with a "–" measured cell).

@@ -5,9 +5,9 @@
 //! inspection pass is amortized over many invocations. The inspector
 //! computes structural features, a cost model proposes candidate kernel
 //! variants, and (optionally) a one-shot micro-probe times the candidates
-//! and keeps the fastest. The resulting [`TunedPlan`] is cached by a
-//! structural fingerprint so repeated planning against the same matrix —
-//! the common pattern in solver setup code — costs one hash lookup.
+//! and keeps the fastest. Callers that plan repeatedly against the same
+//! matrix key their own caches by [`fingerprint`] (the request server's
+//! single-flight plan cache does).
 //!
 //! The variant space:
 //!
@@ -39,9 +39,8 @@ use fbmpk_sparse::simd::{self, SimdLevel};
 use fbmpk_sparse::spmv::{spmv_rows, spmv_rows_rowsplit, spmv_rows_unrolled4};
 use fbmpk_sparse::stats::MatrixStats;
 use fbmpk_sparse::Csr;
-use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Row-length threshold below which the row-split variant keeps the plain
@@ -174,9 +173,7 @@ pub struct TuneOptions {
     /// [`TunedPlan::fbmpk_plan_auto`]. `None` (the default) lets the
     /// cut-edge cost model choose: the strategy whose partition cuts the
     /// fewest row-structure edges — and therefore induces the fewest
-    /// cross-block P2P dependency waits — wins. The choice is part of
-    /// the [`TunedPlan::cached`] key, so explicit and auto-selected
-    /// tunings never share a cache slot.
+    /// cross-block P2P dependency waits — wins.
     pub abmc_blocking: Option<BlockingStrategy>,
 }
 
@@ -191,31 +188,6 @@ impl Default for TuneOptions {
             abmc_blocking: None,
         }
     }
-}
-
-/// Stable cache tag for the partitioner axis of [`TunedPlan::cached`]
-/// (0 = auto-select by cut edges).
-fn partitioner_tag(s: Option<BlockingStrategy>) -> u8 {
-    match s {
-        None => 0,
-        Some(BlockingStrategy::Contiguous) => 1,
-        Some(BlockingStrategy::Aggregated) => 2,
-        Some(BlockingStrategy::Multilevel) => 3,
-    }
-}
-
-/// Feeds the tune-cache hit/miss counters when live telemetry is on; one
-/// relaxed bool load otherwise.
-fn tune_cache_count(hit: bool) {
-    if !fbmpk_obs::live::enabled() {
-        return;
-    }
-    let (name, help) = if hit {
-        ("fbmpk_tune_cache_hits_total", "TunedPlan::cached lookups served from the plan cache")
-    } else {
-        ("fbmpk_tune_cache_misses_total", "TunedPlan::cached lookups that built a fresh plan")
-    };
-    fbmpk_obs::live::global().counter(name, help, 1).inc(0);
 }
 
 /// What the tuner decided and why — surfaced by `repro tune`.
@@ -377,39 +349,14 @@ impl TunedPlan {
         }
     }
 
-    /// Returns the cached plan for `a` (building and inserting it on the
-    /// first call). The cache key is a structural+numerical fingerprint of
-    /// the matrix plus the thread count and the detected SIMD level, so
-    /// distinct matrices, executor widths, or CPU feature sets (e.g. a
-    /// plan serialized under `FBMPK_SIMD=scalar` and reloaded with AVX2
-    /// enabled) get distinct plans.
-    pub fn cached(a: &Csr, options: TuneOptions) -> Arc<TunedPlan> {
-        type PlanCache = Mutex<HashMap<(u64, usize, u8, u8, bool, u8), Arc<TunedPlan>>>;
-        static CACHE: OnceLock<PlanCache> = OnceLock::new();
-        let key = (
-            fingerprint(a),
-            options.nthreads,
-            options.sync as u8,
-            simd::detect() as u8,
-            options.obs.record,
-            partitioner_tag(options.abmc_blocking),
-        );
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(plan) = cache.lock().expect("tune cache lock").get(&key) {
-            tune_cache_count(true);
-            return Arc::clone(plan);
-        }
-        tune_cache_count(false);
-        // Build outside the lock: planning can take milliseconds and must
-        // not serialize unrelated lookups.
-        let plan = Arc::new(TunedPlan::new(a, options));
-        let mut guard = cache.lock().expect("tune cache lock");
-        Arc::clone(guard.entry(key).or_insert(plan))
-    }
-
     /// Matrix dimension.
     pub fn n(&self) -> usize {
         self.a.nrows()
+    }
+
+    /// The underlying matrix.
+    pub fn matrix(&self) -> &Csr {
+        &self.a
     }
 
     /// The selected kernel variant.
@@ -417,9 +364,7 @@ impl TunedPlan {
         self.variant
     }
 
-    /// The SIMD level detected when this plan was built (also part of the
-    /// [`TunedPlan::cached`] key, so a feature-set change invalidates
-    /// cached tunings).
+    /// The SIMD level detected when this plan was built.
     pub fn simd_level(&self) -> SimdLevel {
         self.simd
     }
@@ -1190,18 +1135,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_distinguishes_partitioner_tag() {
-        let a = grid(7);
-        let base = TuneOptions { nthreads: 1, probe: false, probe_reps: 1, ..Default::default() };
-        let auto = TunedPlan::cached(&a, base);
-        let forced = TunedPlan::cached(
-            &a,
-            TuneOptions { abmc_blocking: Some(BlockingStrategy::Multilevel), ..base },
-        );
-        assert!(!Arc::ptr_eq(&auto, &forced), "override must not share the auto cache slot");
-    }
-
-    #[test]
     fn fingerprint_distinguishes_matrices() {
         let a = grid(8);
         let b = grid(9);
@@ -1213,21 +1146,6 @@ mod tests {
         let refs: Vec<&[f64]> = dense.iter().map(|r| r.as_slice()).collect();
         let c = Csr::from_dense(&refs);
         assert_ne!(fingerprint(&a), fingerprint(&c));
-    }
-
-    #[test]
-    fn cache_returns_same_plan() {
-        let a = grid(7);
-        let opts = TuneOptions { nthreads: 1, probe: false, probe_reps: 1, ..Default::default() };
-        let p1 = TunedPlan::cached(&a, opts);
-        let p2 = TunedPlan::cached(&a, opts);
-        assert!(Arc::ptr_eq(&p1, &p2), "second lookup must hit the cache");
-        // A different thread count is a different plan.
-        let p3 = TunedPlan::cached(
-            &a,
-            TuneOptions { nthreads: 2, probe: false, probe_reps: 1, ..Default::default() },
-        );
-        assert!(!Arc::ptr_eq(&p1, &p3));
     }
 
     #[test]

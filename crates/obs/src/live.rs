@@ -1,6 +1,6 @@
 //! Live telemetry: per-lane atomic metric cells and consistent snapshots.
 //!
-//! The post-mortem stack ([`crate::recorder`], [`crate::metrics`]) answers
+//! The post-mortem stack ([`crate::recorder`], [`crate::trace`]) answers
 //! "what happened" after a run finishes; this module answers "what is
 //! happening" while sweep workers are still in flight. The design reuses
 //! the recorder's lane discipline: every metric family owns one
@@ -490,14 +490,27 @@ impl LiveRegistry {
         }
         out.sort_by(|a, b| a.name.cmp(&b.name));
         // Several collectors may emit the same family (one PlanTelemetry
-        // per live plan): coalesce same-name same-kind runs so the
-        // exposition carries exactly one HELP/TYPE pair per family and
-        // `Snapshot::family` sees every sample.
+        // per live plan, one ServeMetrics per server): coalesce
+        // same-name same-kind runs so the exposition carries exactly one
+        // HELP/TYPE pair per family and `Snapshot::family` sees every
+        // sample. Counter samples with identical labels add up, so two
+        // servers in one process export one series, not a duplicate.
         let mut merged: Vec<FamilySnapshot> = Vec::with_capacity(out.len());
         for fam in out {
             match merged.last_mut() {
                 Some(prev) if prev.name == fam.name && prev.kind == fam.kind => {
-                    prev.samples.extend(fam.samples);
+                    for sample in fam.samples {
+                        let same = prev.samples.iter_mut().find(|s| s.labels == sample.labels);
+                        if let (
+                            SampleValue::Counter(c),
+                            Some(LiveSample { value: SampleValue::Counter(total), .. }),
+                        ) = (&sample.value, same)
+                        {
+                            *total += c;
+                            continue;
+                        }
+                        prev.samples.push(sample);
+                    }
                 }
                 _ => merged.push(fam),
             }
@@ -584,6 +597,32 @@ mod tests {
         assert_eq!(reg.snapshot().gauge("fbmpk_src_gauge"), Some(1.0));
         drop(src);
         assert!(reg.snapshot().family("fbmpk_src_gauge").is_none());
+    }
+
+    #[test]
+    fn same_series_from_two_sources_adds_up() {
+        let reg = LiveRegistry::new();
+        struct Served(u64);
+        impl LiveSource for Served {
+            fn collect(&self) -> Vec<FamilySnapshot> {
+                vec![FamilySnapshot {
+                    name: "fbmpk_src_total".to_string(),
+                    help: "h".to_string(),
+                    kind: MetricKind::Counter,
+                    samples: vec![LiveSample {
+                        labels: vec![],
+                        value: SampleValue::Counter(self.0),
+                    }],
+                }]
+            }
+        }
+        let (a, b): (Arc<dyn LiveSource>, Arc<dyn LiveSource>) =
+            (Arc::new(Served(3)), Arc::new(Served(4)));
+        reg.register_source(Arc::downgrade(&a));
+        reg.register_source(Arc::downgrade(&b));
+        let snap = reg.snapshot();
+        assert_eq!(snap.family("fbmpk_src_total").unwrap().samples.len(), 1);
+        assert_eq!(snap.counter_total("fbmpk_src_total"), 7);
     }
 
     #[test]

@@ -44,28 +44,22 @@ impl PhaseSpan {
 }
 
 /// Cap on the detailed log: phases are coarse (tens per plan build), so
-/// 64 Ki spans is hours of activity; beyond it we count drops instead.
+/// 64 Ki spans is hours of activity; later spans are not logged.
 const LOG_CAPACITY: usize = 1 << 16;
 
 static RECORDING: AtomicBool = AtomicBool::new(false);
 
 struct PhaseState {
     epoch: Instant,
-    log: Mutex<LogState>,
+    log: Mutex<Vec<PhaseSpan>>,
     totals: Mutex<BTreeMap<&'static str, (u64, u64)>>,
-}
-
-#[derive(Default)]
-struct LogState {
-    spans: Vec<PhaseSpan>,
-    dropped: u64,
 }
 
 fn state() -> &'static PhaseState {
     static STATE: OnceLock<PhaseState> = OnceLock::new();
     STATE.get_or_init(|| PhaseState {
         epoch: Instant::now(),
-        log: Mutex::new(LogState::default()),
+        log: Mutex::new(Vec::new()),
         totals: Mutex::new(BTreeMap::new()),
     })
 }
@@ -110,11 +104,8 @@ impl Drop for PhaseGuard {
         let st = state();
         if recording() {
             let mut log = st.log.lock().expect("phase log lock");
-            if log.spans.len() < LOG_CAPACITY {
-                let span = PhaseSpan { name: self.name, start_ns, end_ns: start_ns + dur_ns };
-                log.spans.push(span);
-            } else {
-                log.dropped += 1;
+            if log.len() < LOG_CAPACITY {
+                log.push(PhaseSpan { name: self.name, start_ns, end_ns: start_ns + dur_ns });
             }
         }
         if live::enabled() {
@@ -128,15 +119,7 @@ impl Drop for PhaseGuard {
 
 /// Clones the detailed log (chrome-trace export path).
 pub fn log_snapshot() -> Vec<PhaseSpan> {
-    state().log.lock().expect("phase log lock").spans.clone()
-}
-
-/// Takes and clears the detailed log, returning `(spans, dropped)`.
-pub fn drain_log() -> (Vec<PhaseSpan>, u64) {
-    let mut log = state().log.lock().expect("phase log lock");
-    let dropped = log.dropped;
-    log.dropped = 0;
-    (std::mem::take(&mut log.spans), dropped)
+    state().log.lock().expect("phase log lock").clone()
 }
 
 /// Per-phase `(name, runs, total_ns)` aggregates, sorted by name.

@@ -10,13 +10,13 @@
 //! and serves `GET /metrics` until [`MetricsServer::shutdown`] or process
 //! exit. Shutdown sets a flag and self-connects to unblock `accept`.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::expo;
+use crate::http::{self, Response};
 use crate::live::{self, LiveRegistry};
 
 /// A running exposition endpoint.
@@ -78,94 +78,42 @@ impl Drop for MetricsServer {
     }
 }
 
-/// Handles one connection: parse the request line, route, respond, close
-/// (`Connection: close` — scrapers reconnect per poll). Every failure
-/// mode gets a typed answer before the close: an oversized head is 413,
-/// a request that never completes (EOF or read timeout before the
-/// header terminator) or has a broken request line is 400 — never a
-/// silently dropped connection the client has to time out against.
+/// Handles one connection through the shared [`http`] reader: route,
+/// respond, close (`Connection: close` — scrapers reconnect per poll).
+/// Every failure mode gets a typed answer before the close: an oversized
+/// head is 413, a request that never completes (EOF or read timeout
+/// before the header terminator) or has a broken request line is 400 —
+/// never a silently dropped connection the client has to time out
+/// against.
 fn serve_one(mut stream: TcpStream, registry: &LiveRegistry) -> std::io::Result<()> {
-    let mut buf = [0u8; 4096];
-    let mut len = 0;
-    let (mut complete, mut oversize) = (false, false);
-    // Read until the header terminator; anything longer than 4 KiB of
-    // headers is not a scraper we care about.
-    loop {
-        if buf[..len].windows(4).any(|w| w == b"\r\n\r\n") {
-            complete = true;
-            break;
-        }
-        if len == buf.len() {
-            oversize = true;
-            break;
-        }
-        match stream.read(&mut buf[len..]) {
-            Ok(0) => break,
-            Ok(n) => len += n,
-            // Timed out mid-head: still answer before closing.
-            Err(_) => break,
-        }
-    }
-
-    let (status, ctype, body) = if oversize {
-        ("413 Payload Too Large", "text/plain", "request head exceeds 4 KiB\n".to_string())
-    } else if !complete {
-        ("400 Bad Request", "text/plain", "malformed request: no header terminator\n".to_string())
-    } else {
-        let request = String::from_utf8_lossy(&buf[..len]);
-        let mut parts = request.lines().next().unwrap_or("").split(' ');
-        let (method, path, version) =
-            (parts.next().unwrap_or(""), parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-        let path = path.split('?').next().unwrap_or(path);
-        if method.is_empty()
-            || !method.bytes().all(|b| b.is_ascii_uppercase())
-            || !path.starts_with('/')
-            || !version.starts_with("HTTP/")
-        {
-            ("400 Bad Request", "text/plain", "malformed request line\n".to_string())
-        } else {
-            match (method, path) {
-                ("GET", "/metrics") => {
-                    ("200 OK", expo::CONTENT_TYPE, expo::render(&registry.snapshot()))
-                }
-                ("GET", "/") => (
-                    "200 OK",
-                    "text/plain",
-                    "fbmpk metrics endpoint; scrape /metrics\n".to_string(),
-                ),
-                ("GET", _) => ("404 Not Found", "text/plain", "not found\n".to_string()),
-                _ => ("405 Method Not Allowed", "text/plain", "GET only\n".to_string()),
-            }
-        }
+    let response = match http::read_request(&mut stream) {
+        Ok(request) => match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/metrics") => Response::text(200, expo::render(&registry.snapshot()))
+                .with_content_type(expo::CONTENT_TYPE),
+            ("GET", "/") => Response::text(200, "fbmpk metrics endpoint; scrape /metrics\n"),
+            ("GET", _) => Response::text(404, "not found\n"),
+            _ => Response::text(405, "GET only\n"),
+        },
+        Err(e) => match e.response() {
+            Some(rejection) => rejection,
+            // The peer vanished; there is no one to respond to.
+            None => return Ok(()),
+        },
     };
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()
+    response.write(&mut stream)
 }
 
-/// Fetches `http://addr/metrics` over a raw [`TcpStream`] and returns the
-/// body — the scraper half used by `repro top` and the smoke tests.
+/// Fetches `http://addr/metrics` and returns the body — the scraper half
+/// used by `repro top` and the smoke tests. A non-200 answer is an error.
 pub fn scrape(addr: SocketAddr, timeout: Duration) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    write!(stream, "GET /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let Some((head, body)) = response.split_once("\r\n\r\n") else {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "no header terminator"));
-    };
-    let status = head.lines().next().unwrap_or("");
-    if !status.contains("200") {
+    let response = http::request(addr, "GET", "/metrics", &[], "", timeout)?;
+    if response.status != 200 {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("scrape failed: {status}"),
+            format!("scrape failed: HTTP {}", response.status),
         ));
     }
-    Ok(body.to_string())
+    Ok(response.body)
 }
 
 /// Starts the process-global endpoint on `addr` exactly once and leaks it
@@ -191,31 +139,35 @@ pub fn ensure_global(addr: SocketAddr) -> std::io::Result<SocketAddr> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
+
+    /// A fresh endpoint over its own registry on an ephemeral port.
+    fn endpoint(reg: &'static std::sync::OnceLock<LiveRegistry>) -> MetricsServer {
+        MetricsServer::start("127.0.0.1:0".parse().unwrap(), reg.get_or_init(LiveRegistry::new))
+            .expect("bind")
+    }
 
     #[test]
     fn serve_and_scrape() {
-        // A local registry, an ephemeral port, one scrape.
         static REG: std::sync::OnceLock<LiveRegistry> = std::sync::OnceLock::new();
-        let reg = REG.get_or_init(LiveRegistry::new);
-        reg.counter("fbmpk_serve_test_total", "t", 1).add(0, 42);
-        let mut server = MetricsServer::start("127.0.0.1:0".parse().unwrap(), reg).expect("bind");
-        let body = scrape(server.local_addr(), Duration::from_secs(5)).expect("scrape");
+        let mut server = endpoint(&REG);
+        REG.get().unwrap().counter("fbmpk_serve_test_total", "t", 1).add(0, 42);
+        let addr = server.local_addr();
+        let body = scrape(addr, Duration::from_secs(5)).expect("scrape");
         let doc = expo::parse(&body).expect("valid exposition");
         assert_eq!(doc.value("fbmpk_serve_test_total", &[]), Some(42.0));
+        let r = http::request(addr, "GET", "/metrics", &[], "", Duration::from_secs(5)).unwrap();
+        assert_eq!(r.header("content-type"), Some(expo::CONTENT_TYPE));
         server.shutdown();
     }
 
     #[test]
     fn unknown_path_is_404() {
         static REG: std::sync::OnceLock<LiveRegistry> = std::sync::OnceLock::new();
-        let reg = REG.get_or_init(LiveRegistry::new);
-        let server = MetricsServer::start("127.0.0.1:0".parse().unwrap(), reg).expect("bind");
-        let addr = server.local_addr();
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "GET /nope HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 404"), "{response}");
+        let server = endpoint(&REG);
+        let r = http::request(server.local_addr(), "GET", "/nope", &[], "", Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(r.status, 404, "{}", r.body);
     }
 
     /// Sends raw bytes (optionally closing the write side early) and
@@ -235,8 +187,7 @@ mod tests {
     #[test]
     fn malformed_requests_get_a_typed_400() {
         static REG: std::sync::OnceLock<LiveRegistry> = std::sync::OnceLock::new();
-        let reg = REG.get_or_init(LiveRegistry::new);
-        let server = MetricsServer::start("127.0.0.1:0".parse().unwrap(), reg).expect("bind");
+        let server = endpoint(&REG);
         let addr = server.local_addr();
         // Garbage request line: answered, not dropped.
         let r = send_raw(addr, b"not http at all\r\n\r\n", false);
@@ -249,9 +200,8 @@ mod tests {
     #[test]
     fn oversized_head_gets_413() {
         static REG: std::sync::OnceLock<LiveRegistry> = std::sync::OnceLock::new();
-        let reg = REG.get_or_init(LiveRegistry::new);
-        let server = MetricsServer::start("127.0.0.1:0".parse().unwrap(), reg).expect("bind");
-        let huge = vec![b'A'; 8192];
+        let server = endpoint(&REG);
+        let huge = vec![b'A'; http::MAX_HEAD_BYTES];
         let r = send_raw(server.local_addr(), &huge, true);
         assert!(r.starts_with("HTTP/1.1 413"), "{r}");
     }

@@ -1,72 +1,5 @@
-//! A raw-`TcpStream` client for the serving endpoint — the consumer
-//! half used by the load generator and the property tests (the same
-//! role `fbmpk_obs::serve::scrape` plays for the metrics endpoint).
-
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
-
-/// A parsed response.
-#[derive(Debug, Clone)]
-pub struct ClientResponse {
-    /// HTTP status code.
-    pub status: u16,
-    /// Lower-cased header names with trimmed values.
-    pub headers: Vec<(String, String)>,
-    /// The body.
-    pub body: String,
-}
-
-impl ClientResponse {
-    /// First value of header `name` (case-insensitive).
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
-    }
-}
-
-/// Sends one request and reads the full response. An `Err` is an
-/// *untyped* failure (connect refused, reset, timeout, unparseable
-/// response) — the load generator counts those separately because the
-/// server promises typed rejections, never dropped connections.
-pub fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    headers: &[(&str, &str)],
-    body: &str,
-    timeout: Duration,
-) -> std::io::Result<ClientResponse> {
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n");
-    for (name, value) in headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    parse_response(&response)
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "unparseable response"))
-}
-
-fn parse_response(raw: &str) -> Option<ClientResponse> {
-    let (head, body) = raw.split_once("\r\n\r\n")?;
-    let mut lines = head.lines();
-    let status_line = lines.next()?;
-    let status = status_line.split(' ').nth(1)?.parse::<u16>().ok()?;
-    let headers = lines
-        .filter_map(|l| {
-            let (n, v) = l.split_once(':')?;
-            Some((n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        })
-        .collect();
-    Some(ClientResponse { status, headers, body: body.to_string() })
-}
+//! Request and response bodies for the kernel routes, as a client
+//! writes and reads them. The transport is [`fbmpk_obs::http::request`].
 
 /// Builds a kernel-request body.
 pub fn kernel_body(matrix: &str, k: usize, x: &str) -> String {
@@ -83,18 +16,6 @@ pub fn parse_vector(body: &str) -> Result<Vec<f64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_a_response() {
-        let r = parse_response(
-            "HTTP/1.1 429 Too Many Requests\r\nRetry-After: 3\r\nX-Fbmpk-Shed: queue-full\r\n\r\nqueue full\n",
-        )
-        .unwrap();
-        assert_eq!(r.status, 429);
-        assert_eq!(r.header("retry-after"), Some("3"));
-        assert_eq!(r.header("X-Fbmpk-Shed"), Some("queue-full"));
-        assert_eq!(r.body, "queue full\n");
-    }
 
     #[test]
     fn vector_parse_round_trip() {

@@ -5,7 +5,8 @@
 //! over many executions. This crate turns the library into a
 //! long-running service where that amortization actually happens:
 //! concurrent tenants POST power/SpMV/MPK requests over the same
-//! hand-rolled HTTP/1.1 machinery the metrics endpoint uses, and tuned
+//! bounded HTTP/1.1 codec the metrics endpoint uses
+//! ([`fbmpk_obs::http`]), and tuned
 //! plans are cached, shared, and defended against every hostile scenario
 //! a fleet of requests can produce.
 //!
@@ -36,8 +37,10 @@
 //!   width-1 run, so batched results are bit-identical to sequential
 //!   execution — asserted in `tests/serve_props.rs`.
 //! * [`metrics`] — every admission, shed, fault, deadline, cache and
-//!   batch decision counted, mirrored into the live telemetry registry
-//!   ([`fbmpk_obs::live`]) for the exposition endpoint.
+//!   batch decision counted in a plain atomic, read at scrape time by the
+//!   live telemetry registry ([`fbmpk_obs::live`]) and by `/v1/stats`.
+//! * [`http`] / [`client`] — the kernel routes' bodies: the bit-exact
+//!   vector rendering and its parser, and the request body builder.
 //! * [`server`] — the listener/handler threads tying it together.
 //!   Per-request deadlines re-arm the watchdog of the shared plan
 //!   ([`fbmpk::FbmpkPlan::try_power_deadline`]); expiry maps to a typed

@@ -1,14 +1,17 @@
 //! Serving-layer accounting.
 //!
 //! Every admission, shed, degradation, deadline expiry, fault, cache
-//! and batch decision increments exactly one counter here. The counters
-//! are plain atomics (readable in-process via [`ServeMetrics::snapshot`]
-//! and the `/v1/stats` endpoint) and are mirrored into the process-wide
-//! live telemetry registry ([`fbmpk_obs::live`]) so the exposition
-//! endpoint and `repro top` see the serving families next to the kernel
-//! families.
+//! and batch decision increments exactly one counter here: a relaxed
+//! `fetch_add` on a plain atomic, with no lock and no allocation. The
+//! counters reach the outside world only when read. [`ServeMetrics`] is
+//! a [`LiveSource`], so the process-wide live registry
+//! ([`fbmpk_obs::live`]) collects it at scrape time for the exposition
+//! endpoint and `repro top`, and `/v1/stats` renders the same families
+//! through [`fbmpk_obs::expo`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use fbmpk_obs::live::{FamilySnapshot, LiveSample, LiveSource, MetricKind, SampleValue};
 
 use crate::admission::ShedReason;
 
@@ -39,37 +42,28 @@ macro_rules! serve_metrics {
                     $( $field: self.$field.load(Ordering::Relaxed), )+
                 }
             }
+        }
 
-            /// Renders `name value` lines (the `/v1/stats` body; also the
-            /// load generator's scrape format).
-            pub fn render(&self) -> String {
-                let mut out = String::new();
-                $(
-                    out.push_str(concat!($name, " "));
-                    out.push_str(&self.$field.load(Ordering::Relaxed).to_string());
-                    out.push('\n');
-                )+
-                out
-            }
-
-            fn live_name(field: &str) -> Option<&'static str> {
-                match field {
-                    $( stringify!($field) => Some($name), )+
-                    _ => None,
-                }
-            }
-
-            fn live_help(field: &str) -> Option<&'static str> {
-                match field {
-                    $( stringify!($field) => Some($help), )+
-                    _ => None,
-                }
+        impl LiveSource for ServeMetrics {
+            /// One unlabeled counter family per field.
+            fn collect(&self) -> Vec<FamilySnapshot> {
+                vec![$(
+                    FamilySnapshot {
+                        name: $name.to_string(),
+                        help: $help.to_string(),
+                        kind: MetricKind::Counter,
+                        samples: vec![LiveSample {
+                            labels: Vec::new(),
+                            value: SampleValue::Counter(self.$field.load(Ordering::Relaxed)),
+                        }],
+                    },
+                )+]
             }
         }
 
         impl StatsSnapshot {
             /// Parses the `/v1/stats` body back into a snapshot (missing
-            /// lines stay zero; unknown lines are ignored).
+            /// lines stay zero; `#` lines and unknown lines are ignored).
             pub fn parse(body: &str) -> StatsSnapshot {
                 let mut s = StatsSnapshot::default();
                 for line in body.lines() {
@@ -109,25 +103,19 @@ serve_metrics! {
 }
 
 impl ServeMetrics {
-    /// Increments `field`'s counter and mirrors it into the live
-    /// registry (lane 0 — serving counters are not per-thread).
-    pub fn inc(&self, counter: &AtomicU64, field: &'static str) {
+    /// Increments `counter`, one of this block's fields.
+    pub fn inc(&self, counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-        if let (Some(name), Some(help)) = (Self::live_name(field), Self::live_help(field)) {
-            if fbmpk_obs::live::enabled() {
-                fbmpk_obs::live::global().counter(name, help, 1).inc(0);
-            }
-        }
     }
 
     /// The shed counter for `reason`.
     pub fn count_shed(&self, reason: ShedReason) {
-        match reason {
-            ShedReason::QueueFull => self.inc(&self.shed_queue_full, "shed_queue_full"),
-            ShedReason::TenantQuota => self.inc(&self.shed_tenant_quota, "shed_tenant_quota"),
-            ShedReason::NewTenant => self.inc(&self.shed_new_tenant, "shed_new_tenant"),
-            ShedReason::Uncached => self.inc(&self.shed_uncached, "shed_uncached"),
-        }
+        self.inc(match reason {
+            ShedReason::QueueFull => &self.shed_queue_full,
+            ShedReason::TenantQuota => &self.shed_tenant_quota,
+            ShedReason::NewTenant => &self.shed_new_tenant,
+            ShedReason::Uncached => &self.shed_uncached,
+        });
     }
 }
 
@@ -141,16 +129,19 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fbmpk_obs::live::{LiveRegistry, Snapshot};
+    use std::sync::Arc;
 
     #[test]
     fn render_parse_round_trips() {
         let m = ServeMetrics::default();
-        m.inc(&m.requests, "requests");
-        m.inc(&m.requests, "requests");
-        m.inc(&m.ok, "ok");
+        m.inc(&m.requests);
+        m.inc(&m.requests);
+        m.inc(&m.ok);
         m.count_shed(ShedReason::QueueFull);
         m.count_shed(ShedReason::Uncached);
-        let snap = StatsSnapshot::parse(&m.render());
+        let body = fbmpk_obs::expo::render(&Snapshot { families: m.collect() });
+        let snap = StatsSnapshot::parse(&body);
         assert_eq!(snap, m.snapshot());
         assert_eq!(snap.requests, 2);
         assert_eq!(snap.shed_total(), 2);
@@ -175,14 +166,16 @@ mod tests {
     }
 
     #[test]
-    fn live_registry_mirrors_when_enabled() {
-        fbmpk_obs::live::set_enabled(true);
-        let m = ServeMetrics::default();
-        let before =
-            fbmpk_obs::live::global().snapshot().counter_total("fbmpk_serve_worker_fault_total");
-        m.inc(&m.worker_fault, "worker_fault");
-        let after =
-            fbmpk_obs::live::global().snapshot().counter_total("fbmpk_serve_worker_fault_total");
+    fn registered_source_is_read_at_scrape_time() {
+        let reg = LiveRegistry::new();
+        let m = Arc::new(ServeMetrics::default());
+        let source: Arc<dyn LiveSource> = Arc::clone(&m) as Arc<dyn LiveSource>;
+        reg.register_source(Arc::downgrade(&source));
+        let before = reg.snapshot().counter_total("fbmpk_serve_worker_fault_total");
+        m.inc(&m.worker_fault);
+        let after = reg.snapshot().counter_total("fbmpk_serve_worker_fault_total");
         assert_eq!(after, before + 1, "shed/fault decisions must reach the live registry");
+        drop((m, source));
+        assert!(reg.snapshot().family("fbmpk_serve_worker_fault_total").is_none());
     }
 }

@@ -1,9 +1,9 @@
 //! The single-flight plan cache.
 //!
-//! [`fbmpk::TunedPlan::cached`] deduplicates *identical* plans but lets
-//! concurrent first requests race: each builds its own plan and all but
-//! one are discarded. At serving scale an inspection costs milliseconds
-//! to seconds, so the cache here is single-flight: the first request for
+//! Plans are keyed by [`fbmpk::tune::fingerprint`]. At serving scale an
+//! inspection costs milliseconds to seconds, so concurrent first
+//! requests must not each build their own plan: the cache is
+//! single-flight. The first request for
 //! a fingerprint builds while later arrivals block on a condvar and
 //! share the result. A build that fails (or panics) is *negatively*
 //! cached: repeats of the same doomed request are refused instantly for
@@ -75,11 +75,7 @@ enum Slot<T> {
     },
     /// A failed build; refused until `until`, then retried. `failures`
     /// survives the decay so repeat offenders back off exponentially.
-    Poisoned {
-        until: Instant,
-        failures: u32,
-        detail: String,
-    },
+    Poisoned { until: Instant, failures: u32, detail: String },
 }
 
 struct Slots<T> {

@@ -9,7 +9,8 @@
 //!   coalesce (see [`crate::batch`]).
 //! * `POST /v1/mpk` — `Aᵏx` through the FBMPK fused kernel under the
 //!   per-request watchdog deadline.
-//! * `GET /v1/stats` — the serving counters (`name value` lines).
+//! * `GET /v1/stats` — the serving counters plus the queue-depth and
+//!   service-time EWMA gauges, as unlabeled Prometheus text exposition.
 //! * `GET /healthz` — liveness.
 //!
 //! Request headers: `X-Tenant` names the tenant (default `anonymous`),
@@ -37,9 +38,13 @@ use fbmpk::tune::fingerprint;
 use fbmpk::{FbmpkError, FbmpkPlan, SyncMode, TuneOptions, TunedPlan};
 use fbmpk_sparse::Csr;
 
+use fbmpk_obs::expo;
+use fbmpk_obs::http::{read_request, Request, Response};
+use fbmpk_obs::live::{self, FamilySnapshot, LiveSample, LiveSource, MetricKind, SampleValue};
+
 use crate::admission::{Admission, Decision};
 use crate::batch::PowerBatcher;
-use crate::http::{read_request, render_vector, ReadError, Request, Response};
+use crate::http::render_vector;
 use crate::metrics::ServeMetrics;
 use crate::plancache::{CacheError, CacheOutcome, PlanCache};
 use crate::spec::RequestSpec;
@@ -67,6 +72,9 @@ pub struct ServeConfig {
     /// cache must be bounded even when the shedding ladder never
     /// engages.
     pub plan_cache_cap: usize,
+    /// Read and write timeout per connection. A peer that stalls
+    /// mid-request past it is answered 400.
+    pub io_timeout: Duration,
 }
 
 impl Default for ServeConfig {
@@ -80,6 +88,7 @@ impl Default for ServeConfig {
             default_deadline_ms: 10_000,
             neg_ttl: Duration::from_millis(250),
             plan_cache_cap: 32,
+            io_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -92,9 +101,8 @@ const SPEC_FP_CAP: usize = 4096;
 
 /// A cached per-matrix plan bundle.
 pub struct PlanEntry {
-    /// The matrix itself (the `power` batching path reads it directly).
-    pub csr: Csr,
-    /// The tuned SpMV executor.
+    /// The tuned SpMV executor; its [`TunedPlan::matrix`] is the matrix
+    /// the `power` batching path reads.
     pub tuned: TunedPlan,
     /// The FBMPK fused-kernel plan (point-to-point sync, so per-request
     /// deadlines are enforceable).
@@ -117,7 +125,7 @@ fn build_entry(csr: Csr, degrade: bool, threads: usize) -> Result<PlanEntry, Str
     let tuned = TunedPlan::new(&csr, options);
     let nblocks = (threads * 4).max(1).min(csr.nrows().max(1));
     let fbmpk = tuned.fbmpk_plan_auto(nblocks).map_err(|e| e.to_string())?;
-    Ok(PlanEntry { csr, tuned, fbmpk, exec: Mutex::new(()), degraded: degrade })
+    Ok(PlanEntry { tuned, fbmpk, exec: Mutex::new(()), degraded: degrade })
 }
 
 struct State {
@@ -146,14 +154,19 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds and starts accepting. Flips the live-telemetry gate on so
-    /// the serving counters reach the exposition endpoint.
+    /// Binds and starts accepting. The serving counters join the global
+    /// live registry as a `Weak` scrape-time source, so an attached
+    /// exposition endpoint reads them and a dropped server leaves it.
+    /// The live gate is left alone: it stays off until an endpoint or
+    /// dashboard attaches.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(cfg.addr)?;
         let addr = listener.local_addr()?;
-        fbmpk_obs::live::set_enabled(true);
+        let metrics = Arc::new(ServeMetrics::default());
+        let source: Arc<dyn LiveSource> = Arc::clone(&metrics) as Arc<dyn LiveSource>;
+        live::global().register_source(Arc::downgrade(&source));
         let state = Arc::new(State {
-            metrics: Arc::new(ServeMetrics::default()),
+            metrics,
             admission: Arc::new(Admission::new(cfg.queue_cap, cfg.tenant_cap, cfg.handlers)),
             cache: PlanCache::new(cfg.neg_ttl, cfg.plan_cache_cap),
             spec_fps: Mutex::new(HashMap::new()),
@@ -224,8 +237,8 @@ fn accept_loop(state: &State, listener: &TcpListener, tx: SyncSender<Queued>, st
         let Ok(stream) = conn else { continue };
         // Bounded patience per connection: a slow or stuck peer costs at
         // most these timeouts, never a wedged thread.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+        let _ = stream.set_read_timeout(Some(state.cfg.io_timeout));
+        let _ = stream.set_write_timeout(Some(state.cfg.io_timeout));
         // Count before sending: the handler decrements right after recv,
         // and the pairing must never go negative.
         state.admission.enqueued();
@@ -293,25 +306,21 @@ fn serve_one(state: &State, queued: &mut Queued) {
     let m = &state.metrics;
     let request = match read_request(&mut queued.stream) {
         Ok(r) => r,
-        Err(ReadError::Malformed(msg)) => {
-            m.inc(&m.bad_request, "bad_request");
-            let _ = Response::text(400, format!("{msg}\n")).write(&mut queued.stream);
+        Err(e) => {
+            // No response means the peer vanished: no one to answer.
+            if let Some(rejection) = e.response() {
+                m.inc(&m.bad_request);
+                let _ = rejection.write(&mut queued.stream);
+            }
             return;
         }
-        Err(ReadError::TooLarge(msg)) => {
-            m.inc(&m.bad_request, "bad_request");
-            let _ = Response::text(413, format!("{msg}\n")).write(&mut queued.stream);
-            return;
-        }
-        // The peer vanished; there is no one to respond to.
-        Err(ReadError::Io(_)) => return,
     };
-    m.inc(&m.requests, "requests");
+    m.inc(&m.requests);
     let response = route(state, &request, queued.arrived);
     match response.status {
-        200 => m.inc(&m.ok, "ok"),
-        400 | 405 | 413 => m.inc(&m.bad_request, "bad_request"),
-        404 => m.inc(&m.not_found, "not_found"),
+        200 => m.inc(&m.ok),
+        400 | 405 | 413 => m.inc(&m.bad_request),
+        404 => m.inc(&m.not_found),
         // 429/500/503 are counted at their creation sites, where the
         // reason is known.
         _ => {}
@@ -327,18 +336,35 @@ fn route(state: &State, request: &Request, arrived: Instant) -> Response {
             "fbmpk serving endpoint; POST /v1/{spmv,power,mpk}, GET /v1/stats\n",
         ),
         ("GET", "/v1/stats") => {
-            let mut body = state.metrics.render();
-            body.push_str(&format!("fbmpk_serve_queue_depth {}\n", state.admission.depth()));
-            body.push_str(&format!(
-                "fbmpk_serve_service_ewma_ms {:.3}\n",
-                state.admission.service_ewma_ms()
-            ));
-            Response::text(200, body)
+            Response::text(200, stats_body(state)).with_content_type(expo::CONTENT_TYPE)
         }
         ("POST", "/v1/spmv" | "/v1/power" | "/v1/mpk") => kernel_request(state, request, arrived),
         ("GET", _) => Response::text(404, "not found\n"),
         _ => Response::text(405, "method not allowed\n"),
     }
+}
+
+/// The `/v1/stats` body: this server's counter families plus the queue
+/// depth and service-time EWMA gauges, as unlabeled exposition lines.
+fn stats_body(state: &State) -> String {
+    let gauge = |name: &str, help: &str, v: f64| FamilySnapshot {
+        name: name.to_string(),
+        help: help.to_string(),
+        kind: MetricKind::Gauge,
+        samples: vec![LiveSample { labels: Vec::new(), value: SampleValue::Gauge(v) }],
+    };
+    let mut families = state.metrics.collect();
+    families.push(gauge(
+        "fbmpk_serve_queue_depth",
+        "Connections waiting in the bounded queue",
+        state.admission.depth() as f64,
+    ));
+    families.push(gauge(
+        "fbmpk_serve_service_ewma_ms",
+        "EWMA of admitted-request service time in milliseconds",
+        state.admission.service_ewma_ms(),
+    ));
+    expo::render(&live::Snapshot { families })
 }
 
 fn kernel_request(state: &State, request: &Request, arrived: Instant) -> Response {
@@ -357,7 +383,7 @@ fn kernel_request(state: &State, request: &Request, arrived: Instant) -> Respons
     if queued_ms >= deadline_ms {
         // Covers the degenerate `X-Deadline-Ms: 0` budget too. Expiring
         // *before* admission spends no capacity on a doomed request.
-        m.inc(&m.deadline_expired, "deadline_expired");
+        m.inc(&m.deadline_expired);
         return Response::text(
             503,
             format!("deadline expired before execution: budget {deadline_ms} ms, queued {queued_ms} ms\n"),
@@ -386,14 +412,13 @@ fn kernel_request(state: &State, request: &Request, arrived: Instant) -> Respons
     // inspector crash, a kernel assertion, an injected fault the pool
     // did not already convert — becomes a typed 500 for THIS request.
     // The ticket, queue, cache, and pools all stay healthy.
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        execute(state, &request.path, &spec, deadline, degrade)
-    }));
+    let outcome =
+        catch_unwind(AssertUnwindSafe(|| execute(state, &request.path, &spec, deadline, degrade)));
     drop(ticket);
     let response = match outcome {
         Ok(response) => response,
         Err(payload) => {
-            m.inc(&m.worker_fault, "worker_fault");
+            m.inc(&m.worker_fault);
             let msg = payload
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
@@ -417,7 +442,7 @@ fn remaining_ms(deadline: Instant) -> u64 {
 /// The typed 503 for a budget that ran out before the kernel started
 /// (plan building and queueing behind a batch both spend budget).
 fn deadline_expired_response(m: &ServeMetrics, stage: &str) -> Response {
-    m.inc(&m.deadline_expired, "deadline_expired");
+    m.inc(&m.deadline_expired);
     Response::text(503, format!("deadline expired before {stage}\n"))
         .with_header("X-Fbmpk-Deadline", "expired")
 }
@@ -470,34 +495,32 @@ fn execute(
     }) {
         Ok((entry, outcome)) => {
             match outcome {
-                CacheOutcome::Hit => m.inc(&m.cache_hits, "cache_hits"),
-                CacheOutcome::Built => m.inc(&m.cache_misses, "cache_misses"),
-                CacheOutcome::Waited => {
-                    m.inc(&m.cache_singleflight_waits, "cache_singleflight_waits")
-                }
+                CacheOutcome::Hit => m.inc(&m.cache_hits),
+                CacheOutcome::Built => m.inc(&m.cache_misses),
+                CacheOutcome::Waited => m.inc(&m.cache_singleflight_waits),
             }
             entry
         }
         Err(CacheError::NegativelyCached { detail, retry_in }) => {
-            m.inc(&m.cache_negative_hits, "cache_negative_hits");
-            m.inc(&m.plan_unavailable, "plan_unavailable");
+            m.inc(&m.cache_negative_hits);
+            m.inc(&m.plan_unavailable);
             return Response::text(503, format!("plan negatively cached: {detail}\n"))
                 .with_header("Retry-After", retry_in.as_secs().max(1).to_string())
                 .with_header("X-Fbmpk-Plan", "negative-cached");
         }
         Err(CacheError::BuildFailed { detail }) => {
-            m.inc(&m.cache_build_failures, "cache_build_failures");
-            m.inc(&m.plan_unavailable, "plan_unavailable");
+            m.inc(&m.cache_build_failures);
+            m.inc(&m.plan_unavailable);
             return Response::text(503, format!("plan build failed: {detail}\n"))
                 .with_header("X-Fbmpk-Plan", "build-failed");
         }
     };
-    let x = match spec.x.materialize(entry.csr.nrows()) {
+    let x = match spec.x.materialize(entry.tuned.n()) {
         Ok(x) => x,
         Err(e) => return Response::text(400, format!("{e}\n")),
     };
     if entry.degraded {
-        m.inc(&m.degraded, "degraded");
+        m.inc(&m.degraded);
     }
     let tag_degraded = |r: Response| {
         if entry.degraded {
@@ -516,7 +539,7 @@ fn execute(
     }
     match path {
         "/v1/spmv" => {
-            let mut y = vec![0.0; entry.csr.nrows()];
+            let mut y = vec![0.0; entry.tuned.n()];
             if entry.degraded {
                 entry.tuned.spmv_scalar(&x, &mut y);
             } else {
@@ -528,11 +551,11 @@ fn execute(
             // `batch_executions` counts SpMM executions (incremented by
             // whichever request leads the batch); `batched` counts
             // requests that shared a width > 1 batch.
-            let count_exec = |_width: usize| m.inc(&m.batch_executions, "batch_executions");
-            match state.batcher.power(fp, spec.k, &entry.csr, x, &count_exec) {
+            let count_exec = |_width: usize| m.inc(&m.batch_executions);
+            match state.batcher.power(fp, spec.k, entry.tuned.matrix(), x, &count_exec) {
                 Ok(out) => {
                     if out.width > 1 {
-                        m.inc(&m.batched, "batched");
+                        m.inc(&m.batched);
                     }
                     tag_degraded(
                         Response::text(200, render_vector(&out.y))
@@ -540,7 +563,7 @@ fn execute(
                     )
                 }
                 Err(e) => {
-                    m.inc(&m.worker_fault, "worker_fault");
+                    m.inc(&m.worker_fault);
                     Response::text(500, format!("worker fault: {e}\n"))
                         .with_header("X-Fbmpk-Fault", "batch-leader")
                 }
@@ -559,7 +582,7 @@ fn execute(
             match entry.fbmpk.try_power_deadline(&x, spec.k, remaining) {
                 Ok(y) => tag_degraded(Response::text(200, render_vector(&y))),
                 Err(FbmpkError::Stalled { waited_ms, dump, .. }) => {
-                    m.inc(&m.deadline_expired, "deadline_expired");
+                    m.inc(&m.deadline_expired);
                     Response::text(
                         503,
                         format!(
@@ -570,7 +593,7 @@ fn execute(
                     .with_header("X-Fbmpk-Deadline", "expired")
                 }
                 Err(e @ FbmpkError::WorkerPanicked { .. }) => {
-                    m.inc(&m.worker_fault, "worker_fault");
+                    m.inc(&m.worker_fault);
                     Response::text(500, format!("worker fault: {e}\n"))
                         .with_header("X-Fbmpk-Fault", "worker-panic")
                 }
@@ -584,7 +607,9 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{kernel_body, parse_vector, request};
+    use crate::client::{kernel_body, parse_vector};
+    use crate::metrics::StatsSnapshot;
+    use fbmpk_obs::http::request;
 
     fn tiny_server() -> Server {
         Server::start(ServeConfig {
@@ -615,6 +640,62 @@ mod tests {
         assert!(stats.body.contains("fbmpk_serve_requests_total"));
         assert_eq!(request(addr, "GET", "/nope", &[], "", T).unwrap().status, 404);
         assert_eq!(request(addr, "PUT", "/v1/power", &[], "", T).unwrap().status, 405);
+        server.shutdown();
+    }
+
+    #[test]
+    fn stalled_peer_gets_a_typed_400() {
+        use std::io::{Read, Write};
+        let mut server = Server::start(ServeConfig {
+            kernel_threads: 1,
+            handlers: 1,
+            io_timeout: Duration::from_millis(200),
+            ..Default::default()
+        })
+        .expect("bind");
+        // Half a head, then silence: the reader times out mid-head.
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(T)).unwrap();
+        stream.write_all(b"POST /v1/power HTTP/1.1\r\nHost: x\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        assert!(response.contains("stalled"), "{response}");
+        assert_eq!(server.metrics().snapshot().bad_request, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn stats_render_the_counters_and_reach_the_metrics_endpoint() {
+        let mut server = tiny_server();
+        let addr = server.local_addr();
+        let body = kernel_body("grid:5:5", 2, "ones");
+        assert_eq!(request(addr, "POST", "/v1/power", &[], &body, T).unwrap().status, 200);
+        assert_eq!(request(addr, "GET", "/nope", &[], "", T).unwrap().status, 404);
+        let stats = request(addr, "GET", "/v1/stats", &[], "", T).unwrap();
+        assert_eq!(stats.header("content-type"), Some(expo::CONTENT_TYPE));
+        let doc = expo::parse(&stats.body).expect("valid exposition");
+        assert!(doc.value("fbmpk_serve_service_ewma_ms", &[]).is_some());
+        assert_eq!(doc.value("fbmpk_serve_queue_depth", &[]), Some(0.0));
+        // The stats request's own 200 is counted after its body rendered.
+        let mut counted = StatsSnapshot::parse(&stats.body);
+        counted.ok += 1;
+        assert_eq!(counted, server.metrics().snapshot());
+        assert_eq!(StatsSnapshot::parse(&stats_body(&server.state)), server.metrics().snapshot());
+
+        let endpoint =
+            fbmpk_obs::MetricsServer::start("127.0.0.1:0".parse().unwrap(), live::global())
+                .expect("bind metrics endpoint");
+        let scraped = fbmpk_obs::serve::scrape(endpoint.local_addr(), T).expect("scrape");
+        let doc = expo::parse(&scraped).expect("valid exposition");
+        // Other servers in this test binary may add to the same series.
+        for (name, at_least) in [
+            ("fbmpk_serve_requests_total", 3.0),
+            ("fbmpk_serve_ok_total", 2.0),
+            ("fbmpk_serve_not_found_total", 1.0),
+        ] {
+            assert!(doc.value(name, &[]).is_some_and(|v| v >= at_least), "{name}:\n{scraped}");
+        }
         server.shutdown();
     }
 

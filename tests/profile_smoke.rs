@@ -80,7 +80,7 @@ fn validate_trace(doc: &Json) -> usize {
 fn profile_trace_parses_and_covers_every_thread_and_color() {
     let cfg = BenchConfig { scale: 0.002, threads: 2, reps: 1, seed: 42 };
     let cases: Vec<_> = runner::load_suite(&cfg).into_iter().take(2).collect();
-    let (rows, trace, _registry) = runner::profile(&cfg, &cases, None);
+    let (rows, trace) = runner::profile(&cfg, &cases, None);
     assert_eq!(rows.len(), 2);
     assert!(rows.iter().all(|r| r.identical), "recording changed the numerics");
     // perf_event_open may be unavailable (sandboxes, non-Linux): hw is

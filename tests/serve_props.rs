@@ -6,7 +6,9 @@
 //! * Same-matrix batching is invisible: responses collected under
 //!   concurrent load (where requests share one SpMM) are byte-identical
 //!   to the same requests served sequentially, across k parities and
-//!   kernel thread counts.
+//!   kernel thread counts — and the sequential bodies are byte-identical
+//!   to `k` chained scalar SpMVs computed outside the server, so a change
+//!   to the kernel's bits fails here too.
 //! * Backpressure is typed: overflowing the admission queue yields 429
 //!   with `Retry-After` and `X-Fbmpk-Shed: queue-full`, never a dropped
 //!   connection.
@@ -17,9 +19,12 @@
 //!   concurrent requests on the very same plan complete normally and
 //!   the server stays healthy afterwards.
 
+use fbmpk_obs::http;
 use fbmpk_serve::client;
+use fbmpk_serve::http::render_vector;
 use fbmpk_serve::metrics::StatsSnapshot;
-use fbmpk_serve::{ServeConfig, Server};
+use fbmpk_serve::{RequestSpec, ServeConfig, Server};
+use fbmpk_sparse::spmv::spmv_alloc;
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -30,20 +35,14 @@ fn server(kernel_threads: usize, handlers: usize, queue_cap: usize) -> Server {
         .expect("start server")
 }
 
-fn power(
-    addr: SocketAddr,
-    matrix: &str,
-    k: usize,
-    x: &str,
-    tenant: &str,
-) -> client::ClientResponse {
+fn power(addr: SocketAddr, matrix: &str, k: usize, x: &str, tenant: &str) -> http::ClientResponse {
     let body = client::kernel_body(matrix, k, x);
-    client::request(addr, "POST", "/v1/power", &[("X-Tenant", tenant)], &body, T)
+    http::request(addr, "POST", "/v1/power", &[("X-Tenant", tenant)], &body, T)
         .expect("transport must not fail")
 }
 
 fn stats(addr: SocketAddr) -> StatsSnapshot {
-    let r = client::request(addr, "GET", "/v1/stats", &[], "", T).expect("stats");
+    let r = http::request(addr, "GET", "/v1/stats", &[], "", T).expect("stats");
     assert_eq!(r.status, 200);
     StatsSnapshot::parse(&r.body)
 }
@@ -85,6 +84,22 @@ fn batched_responses_are_bit_identical_to_sequential() {
                 .collect()
         });
 
+        // Independent reference: k chained scalar SpMVs, with the matrix
+        // and x built from the very request body the server parsed.
+        for (x, seq) in xs.iter().zip(&reference) {
+            let spec = RequestSpec::parse(&client::kernel_body(matrix, k, x)).expect("spec");
+            let a = spec.matrix.build();
+            let mut y = spec.x.materialize(a.nrows()).expect("x");
+            for _ in 0..spec.k {
+                y = spmv_alloc(&a, &y);
+            }
+            assert_eq!(
+                seq,
+                &render_vector(&y),
+                "x={x} k={k} threads={threads}: body differs from chained spmv"
+            );
+        }
+
         for (i, (seq, conc)) in reference.iter().zip(&concurrent).enumerate() {
             assert_eq!(
                 seq,
@@ -95,6 +110,17 @@ fn batched_responses_are_bit_identical_to_sequential() {
         }
         srv.shutdown();
     }
+}
+
+/// The live-telemetry gate stays off in a served process until an
+/// endpoint attaches: serving must not make every plan build register
+/// collectors and lock phase totals for nobody.
+#[test]
+fn serving_leaves_the_live_gate_off() {
+    let mut srv = server(1, 1, 4);
+    assert_eq!(power(srv.local_addr(), "grid:6:6", 2, "ones", "gate").status, 200);
+    assert!(!fbmpk_obs::live::enabled(), "Server::start must not flip the live gate");
+    srv.shutdown();
 }
 
 /// Overflowing the bounded queue must produce typed 429s carrying a
@@ -108,12 +134,12 @@ fn queue_overflow_sheds_with_typed_429() {
     // Warm the plan so the burst measures queueing, not plan building.
     assert_eq!(power(addr, "grid:48:48", 8, "ones", "warm").status, 200);
 
-    let responses: Vec<client::ClientResponse> = std::thread::scope(|scope| {
+    let responses: Vec<http::ClientResponse> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..24)
             .map(|i| {
                 scope.spawn(move || {
                     let body = client::kernel_body("grid:48:48", 8, "ones");
-                    client::request(
+                    http::request(
                         addr,
                         "POST",
                         "/v1/power",
@@ -156,7 +182,7 @@ fn expired_deadline_is_typed_503_and_cache_keeps_serving() {
     let misses_before = stats(addr).cache_misses;
 
     let body = client::kernel_body(matrix, 4, "ones");
-    let r = client::request(
+    let r = http::request(
         addr,
         "POST",
         "/v1/power",
@@ -198,7 +224,7 @@ fn injected_panic_is_a_typed_500_isolated_to_its_requests() {
             // hooks live; the power route on the same plan does not.
             let faulty = scope.spawn(move || {
                 let body = client::kernel_body(matrix, 5, "ones");
-                client::request(addr, "POST", "/v1/mpk", &[("X-Tenant", "t")], &body, T)
+                http::request(addr, "POST", "/v1/mpk", &[("X-Tenant", "t")], &body, T)
                     .expect("panic must surface as a typed response")
             });
             let healthy: Vec<_> = (0..4)
@@ -218,7 +244,7 @@ fn injected_panic_is_a_typed_500_isolated_to_its_requests() {
 
     // Fault uninstalled: the same route recovers without intervention.
     let body = client::kernel_body(matrix, 5, "ones");
-    let recovered = client::request(addr, "POST", "/v1/mpk", &[("X-Tenant", "t")], &body, T)
+    let recovered = http::request(addr, "POST", "/v1/mpk", &[("X-Tenant", "t")], &body, T)
         .expect("recovered response");
     assert_eq!(recovered.status, 200, "server must be healthy after the fault: {}", recovered.body);
     assert!(stats(addr).worker_fault >= 1);
