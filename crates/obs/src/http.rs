@@ -7,7 +7,7 @@
 //! (`Connection: close`). The reader bounds the head at
 //! [`MAX_HEAD_BYTES`] and the body at [`MAX_BODY_BYTES`], and every way
 //! a request can fail to arrive maps to a typed [`ReadError`]: garbage,
-//! an early close and a peer that stalls past the stream's read timeout
+//! an early close and a peer that stalls past [`IO_TIMEOUT`]
 //! are [`ReadError::Malformed`] (answered 400), an oversized head or
 //! body is [`ReadError::TooLarge`] (answered 413). Only a transport
 //! error with nobody left to answer is [`ReadError::Io`].
@@ -20,6 +20,9 @@ use std::time::Duration;
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// Upper bound on a request body.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+/// Read and write timeout both endpoints set per connection: a stuck
+/// peer costs at most this long, and a stall mid-request is answered 400.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A parsed request.
 #[derive(Debug, Clone)]

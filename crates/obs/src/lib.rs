@@ -48,6 +48,7 @@ pub mod perf;
 pub mod phases;
 pub mod recorder;
 pub mod serve;
+pub mod summary;
 pub mod trace;
 
 pub use attribution::{
@@ -61,6 +62,7 @@ pub use metrics::Histogram;
 pub use perf::{HwSample, HwSession};
 pub use recorder::{Recorder, Span, SpanKind, SpanProbe};
 pub use serve::MetricsServer;
+pub use summary::{KindSummary, ObsSummary};
 pub use trace::TraceBuilder;
 
 /// Default per-thread span capacity: 64 Ki spans ≈ 2 MiB per thread,

@@ -493,24 +493,12 @@ impl LiveRegistry {
         // per live plan, one ServeMetrics per server): coalesce
         // same-name same-kind runs so the exposition carries exactly one
         // HELP/TYPE pair per family and `Snapshot::family` sees every
-        // sample. Counter samples with identical labels add up, so two
-        // servers in one process export one series, not a duplicate.
+        // sample.
         let mut merged: Vec<FamilySnapshot> = Vec::with_capacity(out.len());
         for fam in out {
             match merged.last_mut() {
                 Some(prev) if prev.name == fam.name && prev.kind == fam.kind => {
-                    for sample in fam.samples {
-                        let same = prev.samples.iter_mut().find(|s| s.labels == sample.labels);
-                        if let (
-                            SampleValue::Counter(c),
-                            Some(LiveSample { value: SampleValue::Counter(total), .. }),
-                        ) = (&sample.value, same)
-                        {
-                            *total += c;
-                            continue;
-                        }
-                        prev.samples.push(sample);
-                    }
+                    prev.samples.extend(fam.samples);
                 }
                 _ => merged.push(fam),
             }
@@ -597,32 +585,6 @@ mod tests {
         assert_eq!(reg.snapshot().gauge("fbmpk_src_gauge"), Some(1.0));
         drop(src);
         assert!(reg.snapshot().family("fbmpk_src_gauge").is_none());
-    }
-
-    #[test]
-    fn same_series_from_two_sources_adds_up() {
-        let reg = LiveRegistry::new();
-        struct Served(u64);
-        impl LiveSource for Served {
-            fn collect(&self) -> Vec<FamilySnapshot> {
-                vec![FamilySnapshot {
-                    name: "fbmpk_src_total".to_string(),
-                    help: "h".to_string(),
-                    kind: MetricKind::Counter,
-                    samples: vec![LiveSample {
-                        labels: vec![],
-                        value: SampleValue::Counter(self.0),
-                    }],
-                }]
-            }
-        }
-        let (a, b): (Arc<dyn LiveSource>, Arc<dyn LiveSource>) =
-            (Arc::new(Served(3)), Arc::new(Served(4)));
-        reg.register_source(Arc::downgrade(&a));
-        reg.register_source(Arc::downgrade(&b));
-        let snap = reg.snapshot();
-        assert_eq!(snap.family("fbmpk_src_total").unwrap().samples.len(), 1);
-        assert_eq!(snap.counter_total("fbmpk_src_total"), 7);
     }
 
     #[test]

@@ -44,22 +44,28 @@ impl PhaseSpan {
 }
 
 /// Cap on the detailed log: phases are coarse (tens per plan build), so
-/// 64 Ki spans is hours of activity; later spans are not logged.
+/// 64 Ki spans is hours of activity; beyond it we count drops instead.
 const LOG_CAPACITY: usize = 1 << 16;
 
 static RECORDING: AtomicBool = AtomicBool::new(false);
 
 struct PhaseState {
     epoch: Instant,
-    log: Mutex<Vec<PhaseSpan>>,
+    log: Mutex<LogState>,
     totals: Mutex<BTreeMap<&'static str, (u64, u64)>>,
+}
+
+#[derive(Default)]
+struct LogState {
+    spans: Vec<PhaseSpan>,
+    dropped: u64,
 }
 
 fn state() -> &'static PhaseState {
     static STATE: OnceLock<PhaseState> = OnceLock::new();
     STATE.get_or_init(|| PhaseState {
         epoch: Instant::now(),
-        log: Mutex::new(Vec::new()),
+        log: Mutex::new(LogState::default()),
         totals: Mutex::new(BTreeMap::new()),
     })
 }
@@ -104,8 +110,11 @@ impl Drop for PhaseGuard {
         let st = state();
         if recording() {
             let mut log = st.log.lock().expect("phase log lock");
-            if log.len() < LOG_CAPACITY {
-                log.push(PhaseSpan { name: self.name, start_ns, end_ns: start_ns + dur_ns });
+            if log.spans.len() < LOG_CAPACITY {
+                let span = PhaseSpan { name: self.name, start_ns, end_ns: start_ns + dur_ns };
+                log.spans.push(span);
+            } else {
+                log.dropped += 1;
             }
         }
         if live::enabled() {
@@ -119,7 +128,15 @@ impl Drop for PhaseGuard {
 
 /// Clones the detailed log (chrome-trace export path).
 pub fn log_snapshot() -> Vec<PhaseSpan> {
-    state().log.lock().expect("phase log lock").clone()
+    state().log.lock().expect("phase log lock").spans.clone()
+}
+
+/// Takes and clears the detailed log, returning `(spans, dropped)`.
+pub fn drain_log() -> (Vec<PhaseSpan>, u64) {
+    let mut log = state().log.lock().expect("phase log lock");
+    let dropped = log.dropped;
+    log.dropped = 0;
+    (std::mem::take(&mut log.spans), dropped)
 }
 
 /// Per-phase `(name, runs, total_ns)` aggregates, sorted by name.

@@ -73,6 +73,20 @@ impl SpanKind {
     pub fn is_wait(self) -> bool {
         matches!(self, SpanKind::BarrierWait | SpanKind::FlagWait)
     }
+
+    /// Every kind, in declaration order.
+    pub const ALL: [SpanKind; 10] = [
+        SpanKind::Head,
+        SpanKind::Forward,
+        SpanKind::Backward,
+        SpanKind::Tail,
+        SpanKind::BarrierWait,
+        SpanKind::FlagWait,
+        SpanKind::Spmv,
+        SpanKind::Poison,
+        SpanKind::Watchdog,
+        SpanKind::Tile,
+    ];
 }
 
 /// One recorded interval on one thread's timeline.
@@ -254,6 +268,20 @@ impl Recorder {
             wait as f64 / total as f64
         }
     }
+
+    /// `(count, total_ns)` per [`SpanKind`] across every lane, in
+    /// [`SpanKind::ALL`] order.
+    pub fn kind_totals(&self) -> [(SpanKind, u64, u64); 10] {
+        let mut out = SpanKind::ALL.map(|k| (k, 0u64, 0u64));
+        for t in 0..self.nthreads() {
+            for s in self.thread_spans(t) {
+                let slot = &mut out[s.kind as usize];
+                slot.1 += 1;
+                slot.2 += s.duration_ns();
+            }
+        }
+        out
+    }
 }
 
 /// The enabled probe: borrows a [`Recorder`] and forwards spans to it.
@@ -341,6 +369,10 @@ mod tests {
             );
         }
         assert!((rec.wait_fraction() - 0.25).abs() < 1e-12);
+        let totals = rec.kind_totals();
+        assert_eq!(totals[SpanKind::Forward as usize].1, 1);
+        assert_eq!(totals[SpanKind::Forward as usize].2, 300);
+        assert_eq!(totals[SpanKind::BarrierWait as usize].2, 100);
     }
 
     #[test]

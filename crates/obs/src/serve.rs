@@ -45,8 +45,8 @@ impl MetricsServer {
                     }
                     let Ok(stream) = conn else { continue };
                     // A stuck scraper must not wedge the endpoint.
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+                    let _ = stream.set_read_timeout(Some(http::IO_TIMEOUT));
+                    let _ = stream.set_write_timeout(Some(http::IO_TIMEOUT));
                     let _ = serve_one(stream, registry);
                 }
             })
